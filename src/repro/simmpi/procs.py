@@ -10,15 +10,21 @@ Data plane: payload bytes travel through the domain's
 :class:`~repro.simmpi.shm.SegmentPool` — per-sender rings of fixed-size
 shared-memory slots — while a small control message (context, source,
 tag, payload kind, slot index) rides an unbounded per-endpoint
-``multiprocessing`` queue.  Sends therefore never block, exactly like
-the threads backend: a full slot ring degrades to shipping the payload
-inline through the queue (counted, never wrong).  On the receive side a
-per-process *pump thread* replays control messages into the rank's
-ordinary :class:`~repro.simmpi.matching.Mailbox`, handing array
-payloads over as lent views of the shared slot — so a preposted
-recv-into-destination sink scatters **straight out of shared memory**
-into the destination array, with no staging buffer, and the slot is
-released the moment the mailbox has consumed it.
+``multiprocessing`` queue.  A payload that fits one slot never blocks
+the sender, exactly like the threads backend: a full slot ring degrades
+to shipping it inline through the queue (counted, never wrong).  A
+larger payload streams through the sender's ring in runs of contiguous
+slots, one ``CHUNK`` control message per run; when the ring is full the
+sender waits — abort-aware and visible to the watchdog — for the
+receivers' pumps to recycle slots, which they do independently of what
+the receiving ranks are doing.  On the receive side a per-process *pump
+thread* replays control messages into the rank's ordinary
+:class:`~repro.simmpi.matching.Mailbox`, handing array payloads over as
+lent views of the shared slot (or, for a streamed payload, of the
+per-sender reassembly buffer its runs were copied into) — so a
+preposted recv-into-destination sink scatters **straight out of shared
+memory** into the destination array, with no staging buffer, and the
+slot is released the moment the mailbox has consumed it.
 
 Control plane: the parent process supervises.  A
 :class:`~repro.simmpi.shm.SharedState` struct carries each endpoint's
@@ -59,7 +65,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CommunicatorError, SpmdError
+from repro.errors import CommunicatorError, DeadlockError, SpmdError
 from repro.simmpi import communicator as _comm_mod
 from repro.simmpi import payload as _payload
 from repro.simmpi import sanitize as _san
@@ -78,6 +84,11 @@ CHILD_CTX_SHIFT = 20
 BROKER_CTX_BASE = 1 << 40
 
 _SUPERVISE_TICK = 0.05
+
+#: Back-off of a stream sender waiting for its ring to recycle a slot
+#: (no condition variable spans processes; the wait sleeps on the
+#: abort event, like the RMA epoch spins).
+STREAM_POLL = 0.0002
 
 
 def _fork_context():
@@ -188,17 +199,20 @@ class ProcTransport(Transport):
             inline = None
         else:
             kind, meta, buf, inline = shm.encode_payload(obj)
+        pool = rt.pool
+        if buf is not None and buf.nbytes > max(shm.INLINE_MAX,
+                                                pool.slot_bytes):
+            self._stream(endpoint, env, kind, meta, buf)
+            return
         slot = -1
         if buf is not None:
             nbytes = buf.nbytes
-            if nbytes > shm.INLINE_MAX and nbytes <= rt.pool.slot_bytes:
-                got = rt.pool.acquire(rt.endpoint)
+            if nbytes > shm.INLINE_MAX:
+                got = pool.acquire(rt.endpoint)
                 if got is not None:
                     slot = got
-            elif nbytes > rt.pool.slot_bytes:
-                rt.pool.stats.add("oversize")
             if slot >= 0:
-                dst = rt.pool.slot_view(
+                dst = pool.slot_view(
                     slot, nbytes,
                     dtype=buf.dtype if kind == shm.ND else None)
                 if kind == shm.ND:
@@ -209,14 +223,14 @@ class ProcTransport(Transport):
                 TRANSPORT_STATS.add("shm_slot_msgs")
                 TRANSPORT_STATS.add("shm_slot_bytes", nbytes)
             else:
-                # inline fallback: tiny payload, full ring, or oversize
+                # inline fallback: tiny payload, or full ring
                 if kind == shm.ND:
                     inline = np.ascontiguousarray(buf).tobytes()
                 else:
                     inline = buf.tobytes()
                 if nbytes > shm.INLINE_MAX:
-                    rt.pool.stats.add("allocations")
-                    rt.pool.stats.add("allocated_bytes", nbytes)
+                    pool.stats.add("allocations")
+                    pool.stats.add("allocated_bytes", nbytes)
                 TRANSPORT_STATS.add("shm_inline_msgs")
                 TRANSPORT_STATS.add("shm_inline_bytes", nbytes)
         if env.release is not None:
@@ -230,9 +244,67 @@ class ProcTransport(Transport):
             # wire piggyback: the sender's vector clock plus the slot's
             # shadow generation ride as an optional tenth field (the
             # nine-field format is untouched when the sanitizer is off)
-            msg = msg + (san.slot_publish(rt.pool, slot),)
+            msg = msg + (san.slot_publish(pool, slot),)
         rt.spec.queues[endpoint].put(msg)
-        self._rt.bump_progress()
+        rt.bump_progress()
+
+    def _stream(self, endpoint: int, env: Envelope, kind: str, meta: Any,
+                buf: np.ndarray) -> None:
+        """Send a payload larger than one slot as runs of contiguous
+        slots of this endpoint's ring, one ``CHUNK`` control message
+        per run, blocking while the ring is full."""
+        rt = self._rt
+        pool = rt.pool
+        q = rt.spec.queues[endpoint]
+        flat = np.ascontiguousarray(buf).reshape(-1).view(np.uint8)
+        total = flat.nbytes
+        pool.stats.add("oversize")
+        off = 0
+        while off < total:
+            want = -(-(total - off) // pool.slot_bytes)
+            slot, run = (pool.acquire_run(rt.endpoint, want)
+                         or self._wait_run(want))
+            n = min(run * pool.slot_bytes, total - off)
+            pool.slot_view(slot, n, run=run)[:] = flat[off:off + n]
+            msg = (shm.CHUNK, env.context, env.source, env.tag, env.nbytes,
+                   kind, meta, slot, run, off, total)
+            san = _san.ACTIVE
+            if san is not None:
+                msg = msg + (tuple(san.slot_publish(pool, s)
+                                   for s in range(slot, slot + run)),)
+            q.put(msg)
+            rt.bump_progress()
+            off += n
+        TRANSPORT_STATS.add("shm_slot_msgs")
+        TRANSPORT_STATS.add("shm_slot_bytes", total)
+        if env.release is not None:
+            env.release()
+
+    def _wait_run(self, want: int) -> tuple[int, int]:
+        """Block until this endpoint's ring frees a slot (receivers'
+        pumps recycle them), waking early on abort; the watchdog sees
+        the rank as blocked meanwhile."""
+        pool = self._rt.pool
+        mailbox = self._own
+        abort = mailbox.abort
+        pool.stats.add("stream_waits")
+        desc = f"stream_send(endpoint={self._rt.endpoint}, ring full)"
+        mailbox.set_block_desc(desc)
+        try:
+            while True:
+                if abort.is_set():
+                    raise DeadlockError(
+                        f"rank {mailbox.rank} aborted while blocked in "
+                        f"{desc}: {abort.reason}",
+                        blocked=abort.blocked_dump)
+                got = pool.acquire_run(self._rt.endpoint, want)
+                if got is not None:
+                    break
+                abort.wait(STREAM_POLL)
+        finally:
+            mailbox.set_block_desc(None)
+        mailbox.note_progress()
+        return got
 
 
 class ProcRuntime:
@@ -246,6 +318,9 @@ class ProcRuntime:
         self.job_rank = endpoint - self.job_base
         self.pool = spec.pool
         self.rdv: _queue.Queue = _queue.Queue()
+        #: pump-side reassembly buffer of each sending endpoint's
+        #: streamed payload
+        self._assembly: dict[int, np.ndarray] = {}
         self.job = None          # set by _child_main
         self.transport: Optional[ProcTransport] = None
 
@@ -291,7 +366,6 @@ class ProcRuntime:
         # NameService, a rank waiting for its coupling peer must not
         # trip the deadlock watchdog — the rendezvous timeout below is
         # the failure path for a peer that never shows up.
-        from repro.errors import DeadlockError
         desc = f"rendezvous({name!r})"
         deadline = time.monotonic() + (timeout if timeout and timeout > 0
                                        else 3600.0)
@@ -332,6 +406,9 @@ class ProcRuntime:
             if verb == shm.RDV_REPLY:
                 self.rdv.put(msg[1])
                 continue
+            if verb == shm.CHUNK:
+                self._take_chunk(msg, mailbox)
+                continue
             (_, context, source, tag, nbytes, kind, meta, slot, inline,
              *extra) = msg
             san = _san.ACTIVE
@@ -343,17 +420,48 @@ class ProcRuntime:
                        slot, nbytes,
                        dtype=np.dtype(meta[0]) if kind == shm.ND else None)
                    if slot >= 0 else inline)
-            value = shm.decode_payload(kind, meta, raw, inline)
-            env = Envelope(context, source, tag, None, nbytes)
-            if isinstance(value, np.ndarray):
-                # lent view of the shared slot (or inline blob): an armed
-                # prepost sink scatters straight out of shared memory
-                mailbox.deliver(env, live=value)
-            else:
-                env.payload = value
-                mailbox.deliver(env)
+            self._deliver(mailbox, context, source, tag, nbytes,
+                          shm.decode_payload(kind, meta, raw, inline))
             if slot >= 0:
                 self.spec.pool.release(slot)
+
+    def _take_chunk(self, msg: tuple, mailbox: Mailbox) -> None:
+        """Copy one run of a streamed payload into the sender's
+        reassembly buffer and release its slots at once; deliver the
+        message after its last run."""
+        (_, context, source, tag, nbytes, kind, meta, slot, run, off,
+         total, *extra) = msg
+        pool = self.spec.pool
+        san = _san.ACTIVE
+        if san is not None and extra:
+            for s, token in zip(range(slot, slot + run), extra[0]):
+                san.slot_consume(pool, s, token)
+        sender = slot // pool.slots_per_endpoint
+        buf = self._assembly.get(sender)
+        if buf is None or buf.nbytes != total:
+            # persistent channels repeat their sizes every step, so the
+            # buffer is reused message after message
+            buf = self._assembly[sender] = np.empty(total, dtype=np.uint8)
+        n = min(run * pool.slot_bytes, total - off)
+        buf[off:off + n] = pool.slot_view(slot, n, run=run)
+        for s in range(slot, slot + run):
+            pool.release(s)
+        if off + n == total:
+            self._deliver(mailbox, context, source, tag, nbytes,
+                          shm.decode_payload(kind, meta, buf, None))
+
+    @staticmethod
+    def _deliver(mailbox: Mailbox, context: int, source: int, tag: int,
+                 nbytes: int, value: Any) -> None:
+        env = Envelope(context, source, tag, None, nbytes)
+        if isinstance(value, np.ndarray):
+            # lent view of the shared slot (or reassembly buffer, or
+            # inline blob): an armed prepost sink scatters straight out
+            # of it, anything else snapshots it before it is reused
+            mailbox.deliver(env, live=value)
+        else:
+            env.payload = value
+            mailbox.deliver(env)
 
 
 def _safe_dumps(obj: Any) -> bytes:

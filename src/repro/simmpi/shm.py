@@ -12,13 +12,22 @@ of a ``run_coupled`` launch):
   before writing payload bytes into it, the receiver flips it back
   after consuming.  The control message announcing the slot travels
   through an OS pipe (:class:`multiprocessing.queues.Queue`), which
-  orders the flag/payload writes before the receiver's reads.  A full
-  ring degrades gracefully: the payload is shipped inline through the
-  control queue instead (counted — steady-state benchmarks assert the
-  fallback never fires).  The accounting mirrors
-  :class:`repro.schedule.bufpool.BufferPool`: ``loans`` / ``reuses``
-  (slot grants) vs ``allocations`` (inline fallbacks — the only path
-  that allocates per message).
+  orders the flag/payload writes before the receiver's reads.  A
+  payload larger than one slot is **streamed**: the sender takes a
+  *run* of contiguous free slots (:meth:`SegmentPool.acquire_run`),
+  copies the next byte range into it and announces it with one
+  ``CHUNK`` control message, repeating — and waiting for the receiver
+  to recycle slots when the ring is full — until the whole payload has
+  passed; the receiver copies each run into a reassembly buffer and
+  releases its slots at once, so a message of any size needs only the
+  fixed ring.  Only a payload that fits one slot but finds the ring
+  full degrades to shipping inline through the control queue (counted
+  — steady-state benchmarks assert the fallback never fires).  The
+  accounting mirrors :class:`repro.schedule.bufpool.BufferPool`:
+  ``loans`` / ``reuses`` (slot grants) vs ``allocations`` (inline
+  fallbacks — the only path that allocates per message); ``oversize``
+  counts streamed messages and ``stream_waits`` the times a stream
+  blocked on a full ring.
 
 * :class:`SharedState` — the watchdog plane.  A per-endpoint progress
   counter, run-state byte (running / blocked / finished) and a short
@@ -29,11 +38,20 @@ of a ``run_coupled`` launch):
   domain is deadlocked when every unfinished endpoint is blocked and
   the progress sum has not moved for the timeout.
 
-Wire format of one control message (pickled by the queue):
+Wire format of the control messages (pickled by the queue):
 ``(MSG, context, source, tag, nbytes, kind, meta, slot, inline)`` where
 ``kind`` is ``ND`` (array: meta = (dtype-str, shape)), ``BYTES``,
 ``PICKLE`` or ``OBJ`` (small immutable scalars shipped inline), and
-``slot`` is the segment slot index or ``-1`` for inline payloads.
+``slot`` is the segment slot index or ``-1`` for inline payloads; and,
+per run of a streamed payload,
+``(CHUNK, context, source, tag, nbytes, kind, meta, slot, run, offset,
+total)`` announcing bytes ``[offset, offset + run * slot_bytes)`` (cut
+at ``total``, the payload's wire size) in the ``run`` slots starting at
+``slot``.  The runs of one message reach the receiver's queue in offset
+order, with no other message of the same sender between them; the
+sending endpoint is the owner of ``slot``.
+Under ``REPRO_TSAN=1`` either form carries one extra trailing field,
+the sanitizer's wire token (a tuple of per-slot tokens for ``CHUNK``).
 """
 
 from __future__ import annotations
@@ -56,6 +74,7 @@ __all__ = ["SegmentPool", "SharedState", "WindowSegment",
 
 # control-message verbs
 MSG = "MSG"
+CHUNK = "CHUNK"
 ABORT = "ABORT"
 RDV_REPLY = "RDV_REPLY"
 STOP = "STOP"
@@ -144,24 +163,45 @@ class SegmentPool:
 
     def acquire(self, endpoint: int) -> Optional[int]:
         """A free slot owned by ``endpoint``, flagged BUSY — or ``None``
-        when the endpoint's whole ring is still in flight."""
+        (counted as ``ring_full``) when the endpoint's whole ring is
+        still in flight."""
+        run = self.acquire_run(endpoint, 1)
+        if run is None:
+            self.stats.add("ring_full")
+            return None
+        return run[0]
+
+    def acquire_run(self, endpoint: int,
+                    want: int) -> Optional[tuple[int, int]]:
+        """The first free slot owned by ``endpoint`` plus up to
+        ``want - 1`` contiguous free successors, each flagged BUSY —
+        ``(first, count)`` with ``1 <= count <= want``, or ``None`` when
+        the endpoint's whole ring is still in flight.  A run never
+        wraps past the end of the ring, so its slots form one
+        contiguous byte range (see :meth:`slot_view`)."""
         lo = endpoint * self.slots_per_endpoint
+        hi = lo + self.slots_per_endpoint
         self.stats.add("loans")
-        for s in range(lo, lo + self.slots_per_endpoint):
+        for s in range(lo, hi):
             if self._flags[s] == _FREE:
-                self._flags[s] = _BUSY
-                san = _san.ACTIVE
-                if san is not None and self._tsan_holder is not None:
-                    san.slot_acquired(self, s)
-                self.stats.add("reuses")
-                # gauges are per process: acquire charges the sender's
-                # process, release credits the receiver's — each side's
-                # peak_* reflects the slots it held/consumed.
-                TRANSPORT_STATS.gauge_add("slot_bytes", self.slot_bytes)
-                TRANSPORT_STATS.gauge_add("resident_bytes", self.slot_bytes)
-                return s
-        self.stats.add("ring_full")
+                n = 0
+                while n < want and s + n < hi and self._flags[s + n] == _FREE:
+                    self._take(s + n)
+                    n += 1
+                return s, n
         return None
+
+    def _take(self, slot: int) -> None:
+        self._flags[slot] = _BUSY
+        san = _san.ACTIVE
+        if san is not None and self._tsan_holder is not None:
+            san.slot_acquired(self, slot)
+        self.stats.add("reuses")
+        # gauges are per process: acquire charges the sender's process,
+        # release credits the receiver's — each side's peak_* reflects
+        # the slots it held/consumed.
+        TRANSPORT_STATS.gauge_add("slot_bytes", self.slot_bytes)
+        TRANSPORT_STATS.gauge_add("resident_bytes", self.slot_bytes)
 
     def release(self, slot: int) -> None:
         """Receiver side: mark ``slot`` consumed (reusable by its owner)."""
@@ -176,8 +216,10 @@ class SegmentPool:
         TRANSPORT_STATS.gauge_add("resident_bytes", -self.slot_bytes)
 
     def slot_view(self, slot: int, nbytes: int,
-                  dtype: Any = None) -> np.ndarray:
-        """A uint8 view of the first ``nbytes`` of ``slot``'s payload.
+                  dtype: Any = None, *, run: int = 1) -> np.ndarray:
+        """A uint8 view of the first ``nbytes`` of the payload area of
+        ``slot`` — or of the ``run`` contiguous slots starting there,
+        as granted by :meth:`acquire_run`.
 
         ``dtype`` declares how the caller will reinterpret the bytes;
         passing it validates that the payload is a whole number of
@@ -185,11 +227,11 @@ class SegmentPool:
         alignment, instead of letting a sender/receiver dtype mismatch
         silently reinterpret bytes.
         """
-        if nbytes > self.slot_bytes:
+        if nbytes > run * self.slot_bytes:
             raise ValueError(
-                f"payload of {nbytes} bytes does not fit in a "
-                f"{self.slot_bytes}-byte slot — raise slot_bytes or ship "
-                f"the payload inline")
+                f"payload of {nbytes} bytes does not fit in {run} "
+                f"{self.slot_bytes}-byte slot(s) — a payload larger than "
+                f"its slots must be streamed across the ring in runs")
         off = self._data_off + slot * self.slot_bytes
         if dtype is not None:
             dt = np.dtype(dtype)

@@ -51,6 +51,7 @@ _EXPORTS = {
     "slot_ring_model": "race",
     "epoch_model": "race",
     "check_protocols": "race",
+    "check_streaming": "race",
     "sanitizer_selfcheck": "race",
     "LintViolation": "lint",
     "lint_paths": "lint",

@@ -321,12 +321,13 @@ def cmd_commgraph(_args) -> int:
 
 
 def cmd_race(_args) -> int:
-    from repro.verify.race import check_protocols, sanitizer_selfcheck
+    from repro.verify.race import (check_protocols, check_streaming,
+                                   sanitizer_selfcheck)
 
     failures = 0
     print("race protocol proofs (bounded explicit-state model checks)")
     print(f"  {'model':<42} {'states':>7} {'expect':>38} verdict")
-    for r in check_protocols():
+    for r in check_protocols() + check_streaming():
         if not r.passed:
             failures += 1
         print(f"  {r.label:<42} {r.exploration.states:>7} "
@@ -341,8 +342,8 @@ def cmd_race(_args) -> int:
         if not r.passed and not r.exploration.ok:
             print(r.exploration.witness())
     print("  properties: no lost wakeups (every interleaving "
-          "completes), no ABA slot reuse, no unexposed-epoch puts, "
-          "no torn seqlock reads")
+          "completes, streamed messages included), no ABA slot reuse, "
+          "no unexposed-epoch puts, no torn seqlock reads")
     selfcheck = sanitizer_selfcheck()
     for msg in selfcheck:
         failures += 1

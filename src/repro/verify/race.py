@@ -47,10 +47,12 @@ from repro.verify.commgraph import Exploration, explore_states
 __all__ = [
     "ModelResult",
     "SLOT_MUTANTS",
+    "CHUNK_MUTANTS",
     "EPOCH_MUTANTS",
     "slot_ring_model",
     "epoch_model",
     "check_protocols",
+    "check_streaming",
     "sanitizer_selfcheck",
 ]
 
@@ -59,6 +61,13 @@ SLOT_MUTANTS = {
     "acquire_skips_busy": "violation:" + sanitize.UNSYNC_WRITE,
     "release_before_consume": "violation:" + sanitize.SLOT_REUSE,
     "skip_release": "stuck",
+}
+
+#: Seeded bugs of the streamed (multi-run) slot ring, checked with
+#: ``chunks > depth``: holding a message's runs until it is whole needs
+#: more slots than the ring has, so sender and pump wait on each other.
+CHUNK_MUTANTS = {
+    "hold_until_assembled": "stuck",
 }
 
 #: Seeded epoch-protocol bugs and the outcome each must produce.
@@ -99,48 +108,60 @@ class ModelResult:
 
 
 def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
-                    mutant: Optional[str] = None) -> Exploration:
+                    mutant: Optional[str] = None, *,
+                    chunks: int = 1) -> Exploration:
     """Explicit-state model of the :class:`~repro.simmpi.shm.SegmentPool`
     slot ring: ``writers`` senders each pushing ``messages`` payloads
     through one consumer's ring of ``depth`` slots.
 
     State: per-slot FREE/BUSY flags and generation counters, the FIFO
-    control queue of published ``(slot, generation)`` pairs, each
-    writer's ``(remaining, held-slot)`` and the consumer's
-    ``(consumed, in-flight read)``.  Transitions mirror the runtime
+    control queue of published ``(slot, generation, writer, last)``
+    entries, each writer's ``(remaining, runs sent, held-slot)``, the
+    consumer's ``(consumed, in-flight read)`` and the slots it keeps
+    per writer while reassembling.  Transitions mirror the runtime
     verbs — acquire (lowest FREE slot, flip BUSY, bump generation),
     publish (enqueue), pop, read (generation must match) and release
     (flag back to FREE).  A transition that breaks the discipline
     carries an error tag the safety check reports; see
     :data:`SLOT_MUTANTS` for the seeded corruptions.
+
+    ``chunks > 1`` models streamed payloads: each message is ``chunks``
+    runs (one slot each, the worst case for ring turnover), the writer
+    *blocks* in acquire while the ring is full — no transition until a
+    slot frees — and the consumer releases every run as soon as it has
+    copied it, delivering the message with its last run.  See
+    :data:`CHUNK_MUTANTS`.
     """
-    if mutant is not None and mutant not in SLOT_MUTANTS:
+    if (mutant is not None and mutant not in SLOT_MUTANTS
+            and mutant not in CHUNK_MUTANTS):
         raise ValueError(f"unknown slot-ring mutant {mutant!r}")
     total = writers * messages
     init = (
         (0,) * depth,                     # flags: 0 FREE / 1 BUSY
         (0,) * depth,                     # per-slot generation
-        (),                               # control queue of (slot, gen)
-        ((messages, -1),) * writers,      # writer (remaining, held slot)
+        (),                               # control queue of published runs
+        ((messages, 0, -1),) * writers,   # writer (remaining, runs, held)
         0,                                # messages consumed
-        (-1, -1),                         # consumer in-flight (slot, gen)
+        None,                             # consumer in-flight queue entry
+        ((),) * writers,                  # slots kept while reassembling
         "",                               # safety-violation tag
     )
 
     def successors(state):
-        flags, gens, queue, ws, consumed, reading, err = state
+        flags, gens, queue, ws, consumed, reading, kept, err = state
         out = []
-        for w, (remaining, held) in enumerate(ws):
+        for w, (remaining, runs, held) in enumerate(ws):
             if held < 0 and remaining > 0:
                 if mutant == "acquire_skips_busy":
                     # the corrupted scan ignores the BUSY flag, so it
                     # claims the lowest slot unconditionally
                     candidates = [0]
                 else:
+                    # empty when the ring is full: the writer blocks
                     candidates = [s for s in range(depth) if flags[s] == 0][:1]
                 for s in candidates:
                     nerr = err
-                    if any(h == s for _, h in ws) or (
+                    if any(h == s for _, _, h in ws) or (
                             flags[s] != 0 and mutant == "acquire_skips_busy"):
                         nerr = (f"{sanitize.UNSYNC_WRITE}: writer {w} "
                                 f"acquires slot {s} while it is still "
@@ -150,20 +171,23 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
                                    for i, f in enumerate(flags))
                     ngens = tuple(g + 1 if i == s else g
                                   for i, g in enumerate(gens))
-                    nws = tuple((r, s) if i == w else (r, h)
-                                for i, (r, h) in enumerate(ws))
+                    nws = tuple((r, c, s) if i == w else (r, c, h)
+                                for i, (r, c, h) in enumerate(ws))
                     out.append((f"writer {w}: acquire(slot={s})",
                                 (nflags, ngens, queue, nws, consumed,
-                                 reading, nerr)))
+                                 reading, kept, nerr)))
             elif held >= 0:
-                nws = tuple((r - 1, -1) if i == w else (r, h)
-                            for i, (r, h) in enumerate(ws))
+                last = runs + 1 == chunks
+                nw = (remaining - 1, 0, -1) if last else \
+                    (remaining, runs + 1, -1)
+                nws = tuple(nw if i == w else x for i, x in enumerate(ws))
                 out.append((f"writer {w}: publish(slot={held}, "
-                            f"gen={gens[held]})",
-                            (flags, gens, queue + ((held, gens[held]),),
-                             nws, consumed, reading, err)))
-        if reading[0] < 0 and queue:
-            slot, gen = queue[0]
+                            f"gen={gens[held]}, run={runs})",
+                            (flags, gens,
+                             queue + ((held, gens[held], w, last),),
+                             nws, consumed, reading, kept, err)))
+        if reading is None and queue:
+            slot, gen = queue[0][:2]
             nflags = flags
             if mutant == "release_before_consume":
                 # the corrupted pump frees the slot before reading it
@@ -171,26 +195,38 @@ def slot_ring_model(writers: int = 2, depth: int = 2, messages: int = 2,
                                for i, f in enumerate(flags))
             out.append((f"consumer: pop(slot={slot}, gen={gen})",
                         (nflags, gens, queue[1:], ws, consumed,
-                         (slot, gen), err)))
-        elif reading[0] >= 0:
-            slot, gen = reading
+                         queue[0], kept, err)))
+        elif reading is not None:
+            slot, gen, w, last = reading
             nerr = err
             if gens[slot] != gen:
                 nerr = (f"{sanitize.SLOT_REUSE}: consumer reads slot "
                         f"{slot} at generation {gens[slot]} but the "
                         f"control message published generation {gen} — "
                         f"ABA reuse, torn payload")
-            nflags = flags if mutant == "skip_release" else tuple(
-                0 if i == slot else f for i, f in enumerate(flags))
-            out.append((f"consumer: read+release(slot={slot})",
-                        (nflags, gens, queue, ws, consumed + 1,
-                         (-1, -1), nerr)))
+            free = (slot,)
+            nkept = kept
+            if mutant == "skip_release":
+                free = ()
+            elif mutant == "hold_until_assembled":
+                # the corrupted pump keeps every run of a message until
+                # the message is whole
+                free = kept[w] + (slot,) if last else ()
+                nkept = tuple((() if last else k + (slot,)) if i == w
+                              else k for i, k in enumerate(kept))
+            nflags = tuple(0 if i in free else f
+                           for i, f in enumerate(flags))
+            out.append((f"consumer: read+release(slot={slot})"
+                        + (" deliver" if last else ""),
+                        (nflags, gens, queue, ws,
+                         consumed + (1 if last else 0), None, nkept,
+                         nerr)))
         return out
 
     def is_final(state):
-        _, _, queue, ws, consumed, reading, _ = state
-        return (consumed == total and not queue and reading[0] < 0
-                and all(r == 0 and h < 0 for r, h in ws))
+        _, _, queue, ws, consumed, reading, _, _ = state
+        return (consumed == total and not queue and reading is None
+                and all(r == 0 and h < 0 for r, _, h in ws))
 
     return explore_states(init, successors, is_final,
                           check=lambda state: state[-1])
@@ -306,6 +342,26 @@ def check_protocols() -> list[ModelResult]:
         out.append(ModelResult(
             "epoch", "W=2 E=2", mutant, expect,
             epoch_model(2, 2, mutant=mutant)))
+    return out
+
+
+#: Streamed-ring scope: runs per message exceed the ring depth.
+_CHUNK_SCOPE = (2, 2, 2, 3)
+
+
+def check_streaming() -> list[ModelResult]:
+    """The streamed slot ring (``chunks > depth``): a clean proof —
+    no stuck state although every message needs more runs than the
+    ring has slots — plus one fires-as-expected run per
+    :data:`CHUNK_MUTANTS` entry."""
+    w, d, m, c = _CHUNK_SCOPE
+    scope = f"W={w} D={d} M={m} C={c}"
+    out = [ModelResult("slot_ring", scope, None, "clean",
+                       slot_ring_model(w, d, m, chunks=c))]
+    for mutant, expect in CHUNK_MUTANTS.items():
+        out.append(ModelResult(
+            "slot_ring", scope, mutant, expect,
+            slot_ring_model(w, d, m, mutant=mutant, chunks=c)))
     return out
 
 

@@ -11,9 +11,12 @@ targeted coverage.
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dad import (
     CartesianTemplate,
@@ -109,24 +112,135 @@ def test_send_isolates_payloads(backend):
 
 
 def _oversize(comm):
+    from repro.simmpi.procs import slot_stats
     peer = 1 - comm.rank
-    data = np.arange(4096, dtype=np.float64) + comm.rank  # 32 KB > slot
+    data = np.arange(4096, dtype=np.float64) + comm.rank  # 32 KiB = 8 slots
     comm.send(data, peer, tag=9)
     got = comm.recv(peer, tag=9)
-    from repro.simmpi.procs import slot_stats
-    return float(got.sum()), slot_stats()
+    return got, slot_stats()
 
 
-def test_procs_oversize_payload_falls_back_inline():
-    """A payload larger than a slot degrades to the control queue —
-    correct, never wrong, and counted as an allocation."""
+def test_procs_oversize_payload_streams_through_ring():
+    """A payload larger than a slot streams through the sender's ring —
+    here 4x the whole ring, so the sender must wait for the receiver's
+    pump to recycle slots mid-message — with no per-message allocation."""
     out = run_spmd(2, _oversize, backend="procs",
-                   transport_opts={"slot_bytes": 4096})
-    base = float(np.arange(4096).sum())
-    assert out[0][0] == base + 4096 and out[1][0] == base
-    for _, stats in out:
+                   transport_opts={"slot_bytes": 4096,
+                                   "slots_per_endpoint": 2})
+    for rank, (got, stats) in enumerate(out):
+        want = np.arange(4096, dtype=np.float64) + (1 - rank)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert stats["oversize"] >= 1
-        assert stats["allocations"] >= 1
+        assert stats["allocations"] == 0
+        assert stats.get("stream_waits", 0) >= 1
+
+
+#: Property-test ring: 2 slots of 4 KiB per sending endpoint.
+_PROP_SLOT, _PROP_DEPTH = 4096, 2
+_PROP_RING = _PROP_SLOT * _PROP_DEPTH
+
+
+def _make_payload(kind: str, nbytes: int, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "bytes":
+        return rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes()
+    if kind == "dict":
+        return {"seed": seed, "blob": rng.bytes(nbytes), "n": [nbytes]}
+    if kind == "0d":
+        return np.array(rng.standard_normal(), dtype=np.float64)
+    if kind == "strided":
+        # every other element of a C-order block: non-contiguous
+        base = rng.standard_normal(2 * max(nbytes // 8, 1))
+        return base.reshape(-1, 2)[:, 0]
+    dtype = np.dtype(kind)
+    n = nbytes // dtype.itemsize
+    if dtype.kind == "c":
+        return (rng.standard_normal(n)
+                + 1j * rng.standard_normal(n)).astype(dtype)
+    if dtype.kind == "i":
+        return rng.integers(-128, 128, n).astype(dtype)
+    return rng.standard_normal(n).astype(dtype)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and a == b
+
+
+def _stream_storm(comm, plans):
+    """Ranks 0 and 1 each send their plan's payloads to rank 2, every
+    one followed by a small message on the same (context, tag); rank 2
+    drains both streams from ANY_SOURCE and returns what it got, per
+    source, in arrival order."""
+    if comm.rank < 2:
+        for i, (kind, nbytes, seed) in enumerate(plans[comm.rank]):
+            comm.send(_make_payload(kind, nbytes, seed), 2, tag=5)
+            comm.send(("small", comm.rank, i), 2, tag=5)
+        return None
+    got = {0: [], 1: []}
+    for _ in range(2 * (len(plans[0]) + len(plans[1]))):
+        val, st = comm.recv(tag=5, return_status=True)
+        got[st.source].append(val)
+    return got
+
+
+_PAYLOAD = st.tuples(
+    st.sampled_from(["int8", "float32", "complex128", "strided", "0d",
+                     "bytes", "dict"]),
+    st.integers(0, 3 * _PROP_RING),
+    st.integers(0, 2**16))
+
+
+@settings(max_examples=12, deadline=None)
+@given(plans=st.tuples(st.lists(_PAYLOAD, min_size=1, max_size=4),
+                       st.lists(_PAYLOAD, min_size=1, max_size=4)))
+def test_procs_streaming_property_two_senders_one_receiver(plans):
+    """Two senders stream payloads of 0..3x the ring at one receiver at
+    once, interleaved with small messages on the same (context, tag):
+    every payload arrives byte-identical and each source's messages
+    arrive in send order."""
+    out = run_spmd(3, _stream_storm, plans, backend="procs",
+                   transport_opts={"slot_bytes": _PROP_SLOT,
+                                   "slots_per_endpoint": _PROP_DEPTH})
+    got = out[2]
+    for src in (0, 1):
+        want = []
+        for i, (kind, nbytes, seed) in enumerate(plans[src]):
+            want += [_make_payload(kind, nbytes, seed), ("small", src, i)]
+        assert len(got[src]) == len(want)
+        for a, b in zip(want, got[src]):
+            assert _same(a, b)
+
+
+def _raise_mid_stream(comm):
+    if comm.rank == 0:
+        comm.send(np.ones(8192), 1, tag=1)            # 64 KiB
+        comm.send(np.ones(1 << 22), 1, tag=2)         # 32 MiB, 8 KiB ring
+        return None
+    comm.recv(0, tag=1)
+    raise ValueError("receiver exploded")
+
+
+def test_procs_receiver_crash_fails_blocked_stream_fast():
+    """A receiver that raises while its peer is mid-stream, blocked on
+    a full ring, is reported as that crash — promptly, not as a
+    watchdog deadlock after the stall timeout."""
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError) as ei:
+        run_spmd(2, _raise_mid_stream, backend="procs",
+                 transport_opts={"slot_bytes": 4096,
+                                 "slots_per_endpoint": 2})
+    elapsed = time.monotonic() - t0
+    failures = ei.value.failures
+    assert isinstance(failures[1], ValueError)
+    assert "exploded" in str(failures[1])
+    assert isinstance(failures[0], DeadlockError)
+    assert "stream_send" in str(failures[0])
+    assert "rank 1 raised ValueError" in str(failures[0])
+    assert "watchdog" not in str(ei.value)
+    assert elapsed < 2.0
 
 
 def test_segment_pool_ring_exhaustion_and_reuse():
@@ -143,6 +257,26 @@ def test_segment_pool_ring_exhaustion_and_reuse():
         view = pool.slot_view(a, 16)
         view[:] = 42
         assert (pool.slot_view(a, 16) == 42).all()
+    finally:
+        pool.close()
+        pool.unlink()
+
+
+def test_segment_pool_acquire_run_takes_contiguous_free_slots():
+    from repro.simmpi.shm import SegmentPool
+    pool = SegmentPool(2, slot_bytes=128, slots_per_endpoint=4)
+    try:
+        assert pool.acquire_run(1, 3) == (4, 3)   # endpoint 1's ring
+        assert pool.acquire_run(1, 3) == (7, 1)   # cut at the ring end
+        assert pool.acquire_run(1, 1) is None     # ring full
+        assert pool.stats.get("ring_full") == 0   # only acquire counts it
+        pool.release(5)
+        assert pool.acquire_run(1, 2) == (5, 1)   # 6 still busy
+        view = pool.slot_view(4, 3 * 128, run=3)
+        view[:] = 7
+        assert (pool.slot_view(6, 128) == 7).all()
+        with pytest.raises(ValueError, match="does not fit"):
+            pool.slot_view(4, 3 * 128 + 1, run=3)
     finally:
         pool.close()
         pool.unlink()

@@ -12,9 +12,11 @@ import pytest
 from repro.simmpi import sanitize
 from repro.verify.commgraph import explore_states
 from repro.verify.race import (
+    CHUNK_MUTANTS,
     EPOCH_MUTANTS,
     SLOT_MUTANTS,
     check_protocols,
+    check_streaming,
     epoch_model,
     sanitizer_selfcheck,
     slot_ring_model,
@@ -99,6 +101,34 @@ def test_slot_ring_mutants_fire(mutant, expect):
 def test_slot_ring_rejects_unknown_mutant():
     with pytest.raises(ValueError, match="unknown slot-ring mutant"):
         slot_ring_model(mutant="off_by_one")
+
+
+def test_streamed_slot_ring_clean_with_more_runs_than_slots():
+    for chunks in (2, 3):
+        ex = slot_ring_model(2, 2, 2, chunks=chunks)
+        assert ex.ok, ex.witness()
+        assert ex.stuck is None
+
+
+@pytest.mark.parametrize("chunks", [3, 4])
+def test_hold_until_assembled_sticks_when_runs_exceed_depth(chunks):
+    ex = slot_ring_model(2, 2, 2, mutant="hold_until_assembled",
+                         chunks=chunks)
+    assert ex.stuck is not None
+    assert ex.trace and ex.witness()
+
+
+def test_hold_until_assembled_is_harmless_for_single_run_messages():
+    # the seeded bug only bites once a message needs several runs
+    assert slot_ring_model(2, 2, 2, mutant="hold_until_assembled").ok
+
+
+def test_check_streaming_matrix_all_pass():
+    results = check_streaming()
+    assert len(results) == 1 + len(CHUNK_MUTANTS)
+    for r in results:
+        assert r.passed, f"{r.label}: expected {r.expect}, got {r.outcome}"
+        assert "C=3" in r.label
 
 
 # -- epoch model --------------------------------------------------------------
